@@ -92,11 +92,7 @@ CacheCounters SeedIndexCache::counters() const {
   CacheCounters c;
   for (const auto& sh : shards_) {
     const std::scoped_lock lk(sh.mu);
-    c.hits += sh.counters.hits;
-    c.misses += sh.counters.misses;
-    c.insertions += sh.counters.insertions;
-    c.evictions += sh.counters.evictions;
-    c.admission_rejects += sh.counters.admission_rejects;
+    c += sh.counters;
   }
   return c;
 }

@@ -40,6 +40,15 @@ struct CacheCounters {
     return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
   }
 
+  /// Sums over cache shards, sessions or shard sessions.
+  CacheCounters& operator+=(const CacheCounters& o) noexcept {
+    hits += o.hits;
+    misses += o.misses;
+    insertions += o.insertions;
+    evictions += o.evictions;
+    admission_rejects += o.admission_rejects;
+    return *this;
+  }
   /// Counters are cumulative over a cache's lifetime — including history
   /// restored by a snapshot load; sessions subtract a batch-start (or
   /// post-load) snapshot to report per-batch activity.

@@ -40,27 +40,26 @@ struct BatchShared {
   std::span<const std::uint64_t> file_perm;
 };
 
-/// One deferred-emission event of the cross-read pooled path, in the exact
-/// order the per-read path would have produced it. kPending slots hold a
-/// candidate's provenance until its PooledExtensionQueue callback resolves
-/// them; kRecord slots (exact matches and anything else emitted inline) are
-/// born resolved; kReadEnd marks a read boundary so reads_aligned can be
+/// One event of a rank's deferred-emission log, in candidate-discovery
+/// order. Every deduplicated candidate becomes one slot: the exact engines
+/// (kFullDP, kBanded) resolve it at submit time, kBatch when its
+/// PooledExtensionQueue bucket flushes. Exact-match records are born
+/// resolved; read_end slots mark read boundaries so reads_aligned can be
 /// counted at replay time. A cursor emits the resolved prefix, which keeps
-/// sink order — and therefore SAM bytes — bit-identical to per-read
-/// flushing even though scoring happens out of order across reads.
+/// sink order — and therefore SAM bytes — the discovery order whichever
+/// engine scored the candidates, and whenever.
 struct PooledSlot {
-  enum class Kind : std::uint8_t { kPending, kRecord, kReadEnd };
-  Kind kind = Kind::kPending;
+  bool read_end = false;
   bool resolved = false;
   bool has_record = false;
   const seq::SeqRecord* read = nullptr;
   AlignmentRecord rec;  ///< valid when has_record
-  // Candidate provenance (kPending only, meaningful until resolved).
+  // Candidate provenance, meaningful until resolved.
   const seq::PackedSeq* target = nullptr;
   std::uint32_t target_id = 0;
   bool reverse = false;
-  std::size_t qid = 0;  ///< query id inside the rank's pooled queue
-  std::size_t window_begin = 0, window_end = 0;
+  std::size_t q_off = 0, t_off = 0;  ///< the seed fixing the diagonal
+  std::size_t qid = 0;  ///< query id inside the rank's pooled queue (kBatch)
 };
 
 /// Per-rank aligning-phase worker (seed-and-extend with caches, the Lemma-1
@@ -72,12 +71,10 @@ class RankAligner {
     min_score_ = sh.cfg.min_report_score >= 0
                      ? sh.cfg.min_report_score
                      : sh.cfg.extension.scoring.match * sh.k;
-    if (sh.cfg.extension.kernel == align::SwKernel::kBatch &&
-        sh.cfg.sw_pooling > 0) {
+    if (sh.cfg.extension.kernel == align::SwKernel::kBatch) {
       align::PooledQueueConfig qcfg;
       qcfg.scoring = sh.cfg.extension.scoring;
       qcfg.isa = sh.cfg.extension.isa;
-      qcfg.flush_lanes = sh.cfg.sw_pooling == 1 ? 0 : sh.cfg.sw_pooling;
       pool_.emplace(qcfg,
                     [this](std::uint64_t tag, const align::StripedResult& sr) {
                       resolve_slot(static_cast<std::size_t>(tag), sr);
@@ -88,60 +85,35 @@ class RankAligner {
   void align_read(const seq::SeqRecord& read) {
     ++st_.reads_processed;
     read_ = &read;
-    records_this_read_ = 0;
     seen_.clear();
-    const bool done = align_strand(read.name, read.seq, /*reverse=*/false);
-    if (!done) {
-      const std::string rc = seq::reverse_complement(read.seq);
-      align_strand(read.name, rc, /*reverse=*/true);
-    }
-    if (pool_) {
-      PooledSlot marker;
-      marker.kind = PooledSlot::Kind::kReadEnd;
-      slots_.push_back(std::move(marker));
-      advance_cursor();
-    } else if (records_this_read_ > 0) {
-      ++st_.reads_aligned;
-    }
+    if (!align_strand(read.seq, /*reverse=*/false))
+      align_strand(seq::reverse_complement(read.seq), /*reverse=*/true);
+    slots_.emplace_back().read_end = true;
+    advance_cursor();
   }
 
   /// Batch end: force-score everything still pending, replay the tail of the
   /// emission log, and hand the rank's lane occupancy to the batch result.
   void finish() {
-    if (pool_) {
-      pool_->drain();
-      advance_cursor();
-      lane_stats_ += pool_->lane_stats();
-    }
-    sh_.lane_stats[static_cast<std::size_t>(rank_.id())] += lane_stats_;
+    if (!pool_) return;
+    pool_->drain();
+    advance_cursor();
+    sh_.lane_stats[static_cast<std::size_t>(rank_.id())] = pool_->lane_stats();
   }
 
  private:
   /// Returns true when the Lemma-1 fast path resolved the read completely.
-  bool align_strand(const std::string& name, const std::string& oriented,
-                    bool reverse) {
+  bool align_strand(const std::string& oriented, bool reverse) {
     const std::size_t qlen = oriented.size();
     const int k = sh_.k;
     if (qlen < static_cast<std::size_t>(k)) return false;
     const bool has_n = oriented.find('N') != std::string::npos;
     const seq::PackedSeq qpacked(oriented);
     const auto qcodes = align::dna_codes(oriented);
-    // The striped profile is query-only state: built at most once per
-    // oriented query (lazily, on the first candidate — most junk reads never
-    // produce one) and reused across every candidate this strand probes.
-    std::optional<align::StripedSmithWaterman> striped;
-    // kBatch mode: candidates are buffered across the whole strand and
-    // screened in one inter-candidate SIMD sweep after the seed loop, so the
-    // lanes actually fill. Emission happens in buffer order, which is the
-    // per-candidate emission order — output is bit-identical to kStriped.
-    const bool batch_mode =
-        sh_.cfg.extension.kernel == align::SwKernel::kBatch;
-    std::vector<align::SeedCandidate> pending;
-    std::vector<std::uint32_t> pending_target_ids;
-    // Pooled mode: this strand's query id in the rank queue, registered
-    // lazily on the first candidate (duplicate query bytes dedup inside the
-    // queue and share one striped profile).
-    std::optional<std::size_t> pooled_qid;
+    // kBatch: this strand's query id in the rank queue, registered lazily on
+    // the first candidate (duplicate query bytes dedup inside the queue and
+    // share one striped profile).
+    std::optional<std::size_t> qid;
 
     bool exact_done = false;
     bool exact_tried = false;
@@ -166,19 +138,7 @@ class RankAligner {
           if (const auto pl = exact_placement(h0, q_off, qlen, t.seq.size())) {
             ++st_.memcmp_calls;
             if (exact_compare(qpacked, t.seq, *pl)) {
-              AlignmentRecord rec;
-              rec.query_name = name;
-              rec.target_id = pl->target_id;
-              rec.reverse = reverse;
-              rec.score = sh_.cfg.extension.scoring.match *
-                          static_cast<int>(qlen);
-              rec.q_begin = 0;
-              rec.q_end = qlen;
-              rec.t_begin = pl->t_begin;
-              rec.t_end = pl->t_begin + qlen;
-              rec.cigar = std::to_string(qlen) + "M";
-              rec.exact = true;
-              emit(std::move(rec));
+              push_exact(*pl, qlen, reverse);
               ++st_.exact_match_reads;
               exact_done = true;
               return;
@@ -198,104 +158,95 @@ class RankAligner {
             (static_cast<std::uint64_t>(diag + (1ll << 28)) >> 3);
         if (!seen_.insert(key).second) continue;
         const Target& t = fetch_target_cached(h.target_id);
-        if (batch_mode && pool_) {
-          // Cross-read pooling: account the candidate now (sw_calls at
-          // buffer time and sw_cells over the projected window, exactly as
-          // the per-read flush below does), then defer scoring into the
-          // rank's length-class-bucketed queue. Window codes are extracted
-          // here; the traceback re-reads the target at resolve time, and
-          // only for screen survivors.
-          ++st_.sw_calls;
-          if (!t.seq.empty()) {
-            const align::SeedWindow w = align::project_seed_window(
-                qcodes.size(), t.seq, q_off, h.t_pos,
-                sh_.cfg.extension.window_pad);
-            st_.sw_cells +=
-                static_cast<std::uint64_t>(w.end - w.begin) * qcodes.size();
-            if (w.begin < w.end) {
-              if (!pooled_qid)
-                pooled_qid = pool_->add_query(
-                    std::span<const std::uint8_t>(qcodes));
-              PooledSlot s;
-              s.read = read_;
-              s.target = &t.seq;
-              s.target_id = h.target_id;
-              s.reverse = reverse;
-              s.qid = *pooled_qid;
-              s.window_begin = w.begin;
-              s.window_end = w.end;
-              const auto tag = static_cast<std::uint64_t>(slots_.size());
-              slots_.push_back(std::move(s));
-              const auto window =
-                  align::dna_codes(t.seq, w.begin, w.end - w.begin);
-              pool_->enqueue(*pooled_qid, window, tag);
-            }
-          }
-          continue;
-        }
-        if (batch_mode) {
-          // Target sequences live in the session-lifetime TargetStore, so
-          // holding pointers across the seed loop is safe.
-          pending.push_back({&t.seq, q_off, h.t_pos});
-          pending_target_ids.push_back(h.target_id);
-          ++st_.sw_calls;
-          continue;
-        }
-        if (sh_.cfg.extension.kernel == align::SwKernel::kStriped && !striped)
-          striped.emplace(std::span<const std::uint8_t>(qcodes),
-                          sh_.cfg.extension.scoring);
-        const auto ext =
-            align::extend_seed(std::span<const std::uint8_t>(qcodes), t.seq,
-                               q_off, h.t_pos, k, sh_.cfg.extension,
-                               min_score_, striped ? &*striped : nullptr);
-        ++st_.sw_calls;
-        st_.sw_cells += static_cast<std::uint64_t>(
-                            ext.window_end - ext.window_begin) *
-                        qcodes.size();
-        if (ext.aln.score >= min_score_ && !ext.aln.empty()) {
-          AlignmentRecord rec;
-          rec.query_name = name;
-          rec.target_id = h.target_id;
-          rec.reverse = reverse;
-          rec.score = ext.aln.score;
-          rec.q_begin = ext.aln.q_begin;
-          rec.q_end = ext.aln.q_end;
-          rec.t_begin = ext.aln.t_begin;
-          rec.t_end = ext.aln.t_end;
-          rec.cigar = ext.aln.cigar.to_string();
-          rec.mismatches = ext.aln.mismatches;
-          emit(std::move(rec));
-        }
+        submit(qcodes, qid, t.seq, h.target_id, reverse, q_off, h.t_pos);
       }
     });
-    if (!pending.empty()) {
-      // (Exact-match success short-circuits before any candidate is
-      // buffered, so a non-empty queue implies the fast path didn't fire.)
-      const auto exts = align::extend_candidates(
-          std::span<const std::uint8_t>(qcodes), pending, k,
-          sh_.cfg.extension, min_score_, &lane_stats_);
-      for (std::size_t c = 0; c < exts.size(); ++c) {
-        const align::Extension& ext = exts[c];
-        st_.sw_cells += static_cast<std::uint64_t>(
-                            ext.window_end - ext.window_begin) *
-                        qcodes.size();
-        if (ext.aln.score >= min_score_ && !ext.aln.empty()) {
-          AlignmentRecord rec;
-          rec.query_name = name;
-          rec.target_id = pending_target_ids[c];
-          rec.reverse = reverse;
-          rec.score = ext.aln.score;
-          rec.q_begin = ext.aln.q_begin;
-          rec.q_end = ext.aln.q_end;
-          rec.t_begin = ext.aln.t_begin;
-          rec.t_end = ext.aln.t_end;
-          rec.cigar = ext.aln.cigar.to_string();
-          rec.mismatches = ext.aln.mismatches;
-          emit(std::move(rec));
-        }
-      }
-    }
     return exact_done;
+  }
+
+  /// Push one candidate as a slot. sw_calls and sw_cells (over the projected
+  /// window) are accounted here, whichever engine scores it. The exact
+  /// engines extend it now; kBatch defers it into the rank's length-class-
+  /// bucketed queue, which screens it and calls resolve_slot.
+  void submit(std::span<const std::uint8_t> qcodes,
+              std::optional<std::size_t>& qid, const seq::PackedSeq& target,
+              std::uint32_t target_id, bool reverse, std::size_t q_off,
+              std::size_t t_off) {
+    ++st_.sw_calls;
+    if (target.empty()) return;
+    const align::SeedWindow w = align::project_seed_window(
+        qcodes.size(), target, q_off, t_off, sh_.cfg.extension.window_pad);
+    st_.sw_cells += static_cast<std::uint64_t>(w.end - w.begin) * qcodes.size();
+    if (w.begin >= w.end) return;
+    // Target sequences live in the session-lifetime TargetStore, so slots
+    // may hold pointers to them until they are replayed.
+    PooledSlot& s = slots_.emplace_back();
+    s.read = read_;
+    s.target = &target;
+    s.target_id = target_id;
+    s.reverse = reverse;
+    s.q_off = q_off;
+    s.t_off = t_off;
+    if (!pool_) {
+      extend_slot(s, qcodes);
+      return;
+    }
+    if (!qid) qid = pool_->add_query(qcodes);
+    s.qid = *qid;
+    pool_->enqueue(*qid, align::dna_codes(target, w.begin, w.end - w.begin),
+                   static_cast<std::uint64_t>(slots_.size() - 1));
+  }
+
+  /// PooledExtensionQueue callback: a deferred candidate got its screening
+  /// score. The score is exact, so the threshold rejects precisely what the
+  /// traceback would reject; survivors pay the exact extension now.
+  void resolve_slot(std::size_t idx, const align::StripedResult& sr) {
+    PooledSlot& s = slots_[idx];
+    if (sr.score < min_score_) {
+      s.resolved = true;  // screened out, no traceback
+      return;
+    }
+    extend_slot(s, pool_->query_codes(s.qid));
+  }
+
+  /// The exact extension (full DP, or banded when asked) that turns a
+  /// candidate slot into its record — the one SW record builder.
+  void extend_slot(PooledSlot& s, std::span<const std::uint8_t> query) {
+    s.resolved = true;
+    const align::LocalAlignment aln =
+        align::extend_seed(query, *s.target, s.q_off, s.t_off, sh_.k,
+                           sh_.cfg.extension)
+            .aln;
+    if (aln.score < min_score_ || aln.empty()) return;
+    s.has_record = true;
+    s.rec.query_name = s.read->name;
+    s.rec.target_id = s.target_id;
+    s.rec.reverse = s.reverse;
+    s.rec.score = aln.score;
+    s.rec.q_begin = aln.q_begin;
+    s.rec.q_end = aln.q_end;
+    s.rec.t_begin = aln.t_begin;
+    s.rec.t_end = aln.t_end;
+    s.rec.cigar = aln.cigar.to_string();
+    s.rec.mismatches = aln.mismatches;
+  }
+
+  /// The Lemma-1 record: the whole query placed without a DP.
+  void push_exact(const ExactPlacement& pl, std::size_t qlen, bool reverse) {
+    PooledSlot& s = slots_.emplace_back();
+    s.resolved = true;
+    s.has_record = true;
+    s.read = read_;
+    s.rec.query_name = read_->name;
+    s.rec.target_id = pl.target_id;
+    s.rec.reverse = reverse;
+    s.rec.score = sh_.cfg.extension.scoring.match * static_cast<int>(qlen);
+    s.rec.q_begin = 0;
+    s.rec.q_end = qlen;
+    s.rec.t_begin = pl.t_begin;
+    s.rec.t_end = pl.t_begin + qlen;
+    s.rec.cigar = std::to_string(qlen) + "M";
+    s.rec.exact = true;
   }
 
   std::size_t lookup_seed(const seq::Kmer& m, std::vector<dht::SeedHit>& hits) {
@@ -339,58 +290,12 @@ class RankAligner {
     return t;
   }
 
-  void emit(AlignmentRecord rec) {
-    if (pool_) {
-      // Pooled mode: inline emissions (exact matches) join the slot log so
-      // they interleave with deferred candidates in the original order.
-      PooledSlot s;
-      s.kind = PooledSlot::Kind::kRecord;
-      s.resolved = true;
-      s.has_record = true;
-      s.read = read_;
-      s.rec = std::move(rec);
-      slots_.push_back(std::move(s));
-      return;
-    }
-    ++records_this_read_;
-    ++st_.alignments_reported;
-    sh_.sink.emit(rank_.id(), *read_, std::move(rec));
-  }
-
-  /// PooledExtensionQueue callback: a deferred candidate got its screening
-  /// score. Survivors pay the full-DP traceback now (same kernel, window and
-  /// thresholds as the per-read flush, so the record bytes are identical).
-  void resolve_slot(std::size_t idx, const align::StripedResult& sr) {
-    PooledSlot& s = slots_[idx];
-    s.resolved = true;
-    if (sr.score < min_score_) return;  // screened out, no traceback
-    const auto window =
-        align::dna_codes(*s.target, s.window_begin,
-                         s.window_end - s.window_begin);
-    auto aln = align::smith_waterman(pool_->query_codes(s.qid), window,
-                                     sh_.cfg.extension.scoring);
-    aln.t_begin += s.window_begin;
-    aln.t_end += s.window_begin;
-    if (aln.score < min_score_ || aln.empty()) return;
-    s.has_record = true;
-    s.rec.query_name = s.read->name;
-    s.rec.target_id = s.target_id;
-    s.rec.reverse = s.reverse;
-    s.rec.score = aln.score;
-    s.rec.q_begin = aln.q_begin;
-    s.rec.q_end = aln.q_end;
-    s.rec.t_begin = aln.t_begin;
-    s.rec.t_end = aln.t_end;
-    s.rec.cigar = aln.cigar.to_string();
-    s.rec.mismatches = aln.mismatches;
-  }
-
-  /// Emit the resolved prefix of the slot log, counting reads_aligned and
-  /// alignments_reported exactly where the per-read path would have.
+  /// Emit the resolved prefix of the slot log — the only place records reach
+  /// the sink and reads_aligned / alignments_reported are counted.
   void advance_cursor() {
     while (cursor_ < slots_.size()) {
       PooledSlot& s = slots_[cursor_];
-      if (s.kind == PooledSlot::Kind::kReadEnd) {
+      if (s.read_end) {
         if (cursor_records_ > 0) ++st_.reads_aligned;
         cursor_records_ = 0;
       } else {
@@ -415,14 +320,11 @@ class RankAligner {
   PipelineStats& st_;
   const seq::SeqRecord* read_ = nullptr;
   std::unordered_set<std::uint64_t> seen_;
-  std::size_t records_this_read_ = 0;
   int min_score_ = 0;
-  // Cross-read pooling state (SwKernel::kBatch with cfg.sw_pooling > 0).
-  std::optional<align::PooledExtensionQueue> pool_;
+  std::optional<align::PooledExtensionQueue> pool_;  ///< kBatch only
   std::vector<PooledSlot> slots_;   ///< deferred emission log
   std::size_t cursor_ = 0;          ///< first unreplayed slot
-  std::size_t cursor_records_ = 0;  ///< replayed records since last kReadEnd
-  align::LaneStats lane_stats_;     ///< this rank's kBatch lane occupancy
+  std::size_t cursor_records_ = 0;  ///< replayed records since last read end
 };
 
 /// The per-batch SPMD body: io.reads + align against the prebuilt index.
@@ -511,13 +413,11 @@ void add_batch_metrics(const BatchResult& res, const SessionConfig& cfg) {
         .set(static_cast<double>(res.stats.sw_cells) / 1e9 / align_s);
 
   // Lane occupancy of the inter-candidate engine: how full its SIMD sweeps
-  // ran. The mode label separates cross-read pooled flushing from the
-  // per-read baseline so the pooling win is a one-query PromQL ratio.
+  // ran.
   if (cfg.extension.kernel == align::SwKernel::kBatch) {
     const align::LaneStats& ls = res.lane_stats;
     const obs::Labels lane_labels{
-        {"isa", align::isa_name(align::resolve_isa(cfg.extension.isa))},
-        {"mode", cfg.sw_pooling > 0 ? "pooled" : "per_read"}};
+        {"isa", align::isa_name(align::resolve_isa(cfg.extension.isa))}};
     reg.counter("mera_sw_lanes_filled_total", lane_labels,
                 "SIMD lanes carrying a live candidate in batch SW sweeps")
         .add(static_cast<double>(ls.lanes_filled));

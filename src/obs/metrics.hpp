@@ -165,8 +165,12 @@ class MetricsRegistry {
     std::unique_ptr<Histogram> histogram;
   };
 
+  /// Creates a new series' instrument under mu_, so threads racing to
+  /// register the same series all get the one instrument. `bounds` is used
+  /// only when creating a histogram.
   Series& find_or_create(const std::string& name, const Labels& labels,
-                         Kind kind, const std::string& help);
+                         Kind kind, const std::string& help,
+                         std::vector<double> bounds = {});
 
   mutable std::mutex mu_;
   /// Key = name + rendered labels; map gives the deterministic export order.

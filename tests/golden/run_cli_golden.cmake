@@ -2,14 +2,15 @@
 #
 # Inputs (passed with -D):
 #   CLI     - path to the built meraligner_cli binary
+#   DAEMON  - path to the built meralignerd binary (flag validation only)
 #   GOLDEN  - checked-in expected SAM (tests/golden/meraligner_cli.sam)
 #   WORKDIR - scratch directory for this run
 #
 # Scenarios:
-#   1. single batch, one run per --sw kernel (full/banded/striped/batch): all
-#      four must produce the SAME golden SAM — the banded, striped and batch
-#      kernels are exact over their windows, so kernel choice must not change
-#      output; --sw batch additionally runs once per pinned --sw-isa tier
+#   1. single batch, one run per --sw engine (full/banded/batch): all three
+#      must produce the SAME golden SAM — the banded and batch engines are
+#      exact over their windows, so engine choice must not change output;
+#      --sw batch additionally runs pinned to its scalar --sw-isa tier
 #   2. multi batch:   --reads reads_a --reads reads_b (one index, two batches)
 #                     -> the SAME record set, since per-read results depend
 #                     only on the prebuilt index, not on batch boundaries
@@ -71,8 +72,8 @@ function(check_sam produced label)
   check_sam_against(${produced} ${GOLDEN} "${label}")
 endfunction()
 
-# --- 1. single batch, all four SW kernel selectors ---------------------------
-foreach(sw full banded striped batch)
+# --- 1. single batch, every SW engine selector --------------------------------
+foreach(sw full banded batch)
   execute_process(
     COMMAND ${CLI}
       --targets ${WORKDIR}/contigs.fa
@@ -105,55 +106,30 @@ if(NOT rc EQUAL 0)
 endif()
 check_sam(${WORKDIR}/out_batch_scalar.sam "single-batch --sw batch --sw-isa scalar")
 
-# Cross-read pooling is on by default for --sw batch; disabling it and
-# forcing an odd explicit flush threshold must both still hit the golden
-# bytes — pooling changes flush timing, never output.
-foreach(pool off 5)
-  execute_process(
-    COMMAND ${CLI}
-      --targets ${WORKDIR}/contigs.fa
-      --reads ${WORKDIR}/reads.fastq
-      --out ${WORKDIR}/out_batch_pool_${pool}.sam
-      --k 31 --ranks 4 --ppn 2 --no-permute --sw batch --sw-pool ${pool}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "--sw batch --sw-pool ${pool} exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
-  endif()
-  check_sam(${WORKDIR}/out_batch_pool_${pool}.sam
-            "single-batch --sw batch --sw-pool ${pool}")
+# Retired selectors: --sw striped and --sw-pool are usage errors (exit 2 +
+# usage) on both the CLI and the daemon, which share one flag parser. The
+# daemon fails before it ever binds its socket.
+foreach(retired "--sw;striped" "--sw-pool;on")
+  foreach(bin CLI DAEMON)
+    if(bin STREQUAL "CLI")
+      set(inputs --reads ${WORKDIR}/reads.fastq)
+      set(usage "meraligner --targets")
+    else()
+      set(inputs --socket ${WORKDIR}/retired.sock)
+      set(usage "meralignerd --targets")
+    endif()
+    execute_process(
+      COMMAND ${${bin}}
+        --targets ${WORKDIR}/contigs.fa ${inputs}
+        --k 31 --ranks 4 --ppn 2 ${retired}
+      RESULT_VARIABLE rc
+      OUTPUT_VARIABLE out
+      ERROR_VARIABLE err)
+    if(NOT rc EQUAL 2 OR NOT err MATCHES "${usage}")
+      message(FATAL_ERROR "${bin} ${retired} was not rejected with usage (rc=${rc}):\n${err}")
+    endif()
+  endforeach()
 endforeach()
-
-# --sw-pool validation: malformed thresholds are usage errors (exit 2 +
-# usage), and the flag is rejected outside --sw batch runs.
-foreach(bad 0 -4 lots)
-  execute_process(
-    COMMAND ${CLI}
-      --targets ${WORKDIR}/contigs.fa
-      --reads ${WORKDIR}/reads.fastq
-      --k 31 --ranks 4 --ppn 2 --sw batch --sw-pool ${bad}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 2)
-    message(FATAL_ERROR "--sw-pool ${bad} exited ${rc}, expected usage error 2")
-  endif()
-  if(NOT err MATCHES "sw-pool" OR NOT err MATCHES "meraligner --targets")
-    message(FATAL_ERROR "--sw-pool ${bad} did not print the usage message:\n${err}")
-  endif()
-endforeach()
-execute_process(
-  COMMAND ${CLI}
-    --targets ${WORKDIR}/contigs.fa
-    --reads ${WORKDIR}/reads.fastq
-    --k 31 --ranks 4 --ppn 2 --sw striped --sw-pool on
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 2 OR NOT err MATCHES "requires --sw batch")
-  message(FATAL_ERROR "--sw-pool outside --sw batch was not rejected (rc=${rc}):\n${err}")
-endif()
 
 # --sw-isa help is a first-class query: print the tier table and exit 0,
 # before any input validation.
@@ -189,7 +165,7 @@ execute_process(
   COMMAND ${CLI}
     --targets ${WORKDIR}/contigs.fa
     --reads ${WORKDIR}/reads.fastq
-    --k 31 --ranks 4 --ppn 2 --sw striped --sw-isa scalar
+    --k 31 --ranks 4 --ppn 2 --sw full --sw-isa scalar
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)

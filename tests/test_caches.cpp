@@ -17,6 +17,18 @@ using mera::seq::Kmer;
 
 Kmer kmer_of(const std::string& s) { return *Kmer::from_ascii(s); }
 
+TEST(CacheCounters, AddThenSubtractRestoresEveryField) {
+  // Distinct values per field, so a field summed into the wrong slot (or
+  // skipped by one operator but not the other) cannot cancel out.
+  const CacheCounters a{1, 20, 300, 4000, 50000};
+  const CacheCounters b{7, 11, 13, 17, 19};
+  CacheCounters sum = a;
+  sum += b;
+  EXPECT_EQ(sum, (CacheCounters{8, 31, 313, 4017, 50019}));
+  EXPECT_EQ(sum - b, a);
+  EXPECT_EQ(sum - a, b);
+}
+
 TEST(SeedIndexCache, MissThenHit) {
   SeedIndexCache cache(Topology(8, 4), {16});
   std::vector<SeedHit> out;

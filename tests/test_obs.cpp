@@ -246,6 +246,32 @@ TEST(ObsRegistry, FindOrCreateReturnsSameObject) {
   EXPECT_NE(&a, &c);
 }
 
+TEST(ObsRegistry, ConcurrentFirstRegistrationSharesOneInstrument) {
+  // Sessions on parallel shard workers register the same new series at the
+  // same moment; every caller must get the one live instrument, and none of
+  // their observations may land in a discarded duplicate.
+  MetricsRegistry reg;
+  constexpr int kThreads = 8;
+  std::vector<Histogram*> hists(kThreads);
+  std::vector<Counter*> counters(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      hists[t] = &reg.histogram("occ", {0.5, 1.0});
+      hists[t]->observe(0.25);
+      counters[t] = &reg.counter("n_total");
+      counters[t]->inc();
+    });
+  for (auto& t : threads) t.join();
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(hists[t], hists[0]);
+    EXPECT_EQ(counters[t], counters[0]);
+  }
+  EXPECT_EQ(hists[0]->count(), static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(counters[0]->value(), static_cast<double>(kThreads));
+}
+
 TEST(ObsRegistry, KindMismatchThrows) {
   MetricsRegistry reg;
   reg.counter("thing");

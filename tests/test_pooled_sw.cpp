@@ -1,5 +1,5 @@
 // Cross-read candidate pooling: the multi-query batch scorer, the
-// PooledExtensionQueue, and the session-level pooled extension path.
+// PooledExtensionQueue, and the session-level kBatch extension path.
 //
 // The central contract: pooling changes WHEN a candidate is scored — never
 // WHAT its score is, and never the order results are emitted in. So
@@ -9,11 +9,10 @@
 //      per-pair fallback);
 //   2. the queue calls every tag back exactly once with the reference score,
 //      whatever the length-class bucketing and flush thresholds do; and
-//   3. a pooled session (sw_pooling on) emits byte-identical records, SAM
-//      and stats to a per-read session (sw_pooling off), for K in {1,2,4}
-//      shards, on every ISA tier, on mixed-length query sets — compared in
-//      EMISSION ORDER, so any reordering by the deferred-replay machinery
-//      would fail the test.
+//   3. a kBatch session emits byte-identical records, SAM and stats to the
+//      kFullDP scalar oracle, for K in {1,2,4} shards, on every ISA tier, on
+//      mixed-length query sets — compared in EMISSION ORDER, so any
+//      reordering by the deferred-replay machinery would fail the test.
 #include "align/pooled_queue.hpp"
 
 #include "test_util.hpp"
@@ -214,7 +213,7 @@ TEST(PooledQueue, AutoFlushThresholdIsTheTiersLaneWidth) {
 }
 
 // ---------------------------------------------------------------------------
-// Session-level pooled vs per-read bit-identity
+// Session-level kBatch vs the kFullDP oracle
 // ---------------------------------------------------------------------------
 
 struct Workload {
@@ -258,14 +257,19 @@ mera::core::IndexConfig small_index(int k = 21) {
   return ic;
 }
 
-mera::core::SessionConfig batch_session(SwIsa isa, std::size_t pooling) {
+/// The kFullDP oracle's config; kBatch runs differ only in the engine.
+mera::core::SessionConfig oracle_session() {
   mera::core::SessionConfig sc;
   sc.seed_cache_capacity = 1u << 14;
   sc.target_cache_bytes = 8u << 20;
   sc.exact_match = false;  // force every candidate through the SW kernel
+  return sc;
+}
+
+mera::core::SessionConfig batch_session(SwIsa isa) {
+  mera::core::SessionConfig sc = oracle_session();
   sc.extension.kernel = SwKernel::kBatch;
   sc.extension.isa = isa;
-  sc.sw_pooling = pooling;
   return sc;
 }
 
@@ -282,76 +286,74 @@ void expect_same_stats(const mera::core::PipelineStats& a,
   EXPECT_EQ(a.hits_truncated, b.hits_truncated) << what;
 }
 
-std::string sam_of(const mera::core::IndexedReference& ref, Runtime& rt,
-                   mera::core::AlignSession& session,
-                   const std::vector<SeqRecord>& reads,
-                   mera::core::BatchResult& out) {
+/// One batch's output: records in EMISSION order (VectorSink::take), the
+/// SAM bytes of the same emission, and the stats.
+struct RunOutput {
+  std::vector<AlignmentRecord> records;
+  std::string sam;
+  mera::core::PipelineStats stats;
+};
+
+/// `sam_args` after the stream are SamStreamSink's header source.
+template <typename SessionT, typename... SamArgs>
+RunOutput run(SessionT&& session, const std::vector<SeqRecord>& reads,
+              const SamArgs&... sam_args) {
+  Runtime rt(Topology(4, 2));
   std::ostringstream os;
-  mera::core::SamStreamSink sam(os, ref);
-  out = session.align_batch(rt, reads, sam);
-  return os.str();
+  mera::core::SamStreamSink sam(os, sam_args...);
+  mera::core::VectorSink vec(rt.nranks());
+  mera::core::TeeSink tee({&vec, &sam});
+  RunOutput out;
+  out.stats = session.align_batch(rt, reads, tee).stats;
+  out.records = vec.take();
+  out.sam = os.str();
+  return out;
 }
 
-TEST(PooledSession, PooledEqualsPerReadOnEveryTier) {
+void expect_same_output(const RunOutput& oracle, const RunOutput& got,
+                        const std::string& what) {
+  ASSERT_GT(oracle.records.size(), 0u) << what;
+  ASSERT_EQ(oracle.records.size(), got.records.size()) << what;
+  for (std::size_t i = 0; i < oracle.records.size(); ++i)
+    ASSERT_EQ(oracle.records[i], got.records[i]) << what << " i=" << i;
+  EXPECT_EQ(oracle.sam, got.sam) << what;
+  expect_same_stats(oracle.stats, got.stats, what);
+}
+
+RunOutput run_single(const mera::core::IndexedReference& ref,
+                     const mera::core::SessionConfig& cfg,
+                     const std::vector<SeqRecord>& reads) {
+  return run(mera::core::AlignSession(ref, cfg), reads, ref);
+}
+
+RunOutput run_sharded(const mera::shard::ShardedReference& ref,
+                      const mera::core::SessionConfig& cfg,
+                      const std::vector<SeqRecord>& reads) {
+  return run(mera::shard::ShardedAlignSession(ref, cfg), reads,
+             ref.sam_targets(), 4);
+}
+
+TEST(PooledSession, BatchEqualsFullDpOracleOnEveryTier) {
   const auto w = make_mixed_workload(25'000, 1.2);
   // One reference for every comparison: the index build is SPMD over real
   // threads, so per-seed hit-list order — and therefore candidate discovery
   // order — is only reproducible against the SAME built index. (The repo's
   // other cross-build comparisons sort records for exactly this reason;
-  // here the unsorted byte stream is the point.)
+  // here the unsorted emission order is the point.)
   Runtime rt0(Topology(4, 2));
   const auto ref =
       mera::core::IndexedReference::build(rt0, w.contigs, small_index());
-  for (const SwIsa isa : supported_tiers()) {
-    // Per-read flushing (the pre-pooling behaviour) is the reference.
-    Runtime rt1(Topology(4, 2));
-    mera::core::AlignSession s1(ref, batch_session(isa, 0));
-    mera::core::BatchResult b1;
-    const std::string sam1 = sam_of(ref, rt1, s1, w.reads, b1);
-
-    // Pooled, auto threshold AND a deliberately odd explicit threshold —
-    // flush timing must never leak into the output.
-    for (const std::size_t pooling : {std::size_t{1}, std::size_t{5}}) {
-      Runtime rt2(Topology(4, 2));
-      mera::core::AlignSession s2(ref, batch_session(isa, pooling));
-      mera::core::BatchResult b2;
-      const std::string sam2 = sam_of(ref, rt2, s2, w.reads, b2);
-      const std::string what = std::string(isa_name(isa)) +
-                               " pooling=" + std::to_string(pooling);
-      EXPECT_EQ(sam1, sam2) << what;
-      expect_same_stats(b1.stats, b2.stats, what);
-    }
-  }
+  const RunOutput oracle = run_single(ref, oracle_session(), w.reads);
+  for (const SwIsa isa : supported_tiers())
+    expect_same_output(oracle, run_single(ref, batch_session(isa), w.reads),
+                       isa_name(isa));
 }
 
-TEST(PooledSession, EmissionOrderIsPreservedNotJustTheRecordSet) {
-  // VectorSink::take() returns records in emission order; comparing the
-  // vectors UNSORTED proves the pooled replay machinery reproduces the
-  // per-read path's exact per-read / per-strand / per-candidate order.
-  const auto w = make_mixed_workload(20'000, 1.0, /*seed=*/21);
-  // Shared index: candidate discovery order is only defined relative to one
-  // concrete build (the SPMD index build makes hit-list order run-specific).
-  Runtime rt1(Topology(4, 2)), rt2(Topology(4, 2));
-  const auto ref =
-      mera::core::IndexedReference::build(rt1, w.contigs, small_index());
-  mera::core::AlignSession s1(ref, batch_session(SwIsa::kAuto, 0));
-  mera::core::AlignSession s2(ref, batch_session(SwIsa::kAuto, 1));
-  mera::core::VectorSink sink1(rt1.nranks()), sink2(rt2.nranks());
-  const auto r1 = s1.align_batch(rt1, w.reads, sink1);
-  const auto r2 = s2.align_batch(rt2, w.reads, sink2);
-  const auto v1 = sink1.take();
-  const auto v2 = sink2.take();
-  ASSERT_GT(v1.size(), 0u);
-  ASSERT_EQ(v1.size(), v2.size());
-  for (std::size_t i = 0; i < v1.size(); ++i) EXPECT_EQ(v1[i], v2[i]) << i;
-  expect_same_stats(r1.stats, r2.stats, "emission order");
-}
-
-TEST(PooledSession, PooledEqualsPerReadAcrossShardCounts) {
+TEST(PooledSession, BatchEqualsFullDpOracleAcrossShardCounts) {
   const auto w = make_mixed_workload(25'000, 1.2, /*seed=*/31);
   for (const int shards : {1, 2, 4}) {
-    // One sharded reference per K, shared by the per-read and pooled runs:
-    // at K=1 records flow through in discovery order, which is only
+    // One sharded reference per K, shared by the oracle and kBatch runs: at
+    // K=1 records flow through in discovery order, which is only
     // reproducible against the same built index.
     Runtime rt0(Topology(4, 2));
     mera::shard::ShardPlanOptions popt;
@@ -359,46 +361,16 @@ TEST(PooledSession, PooledEqualsPerReadAcrossShardCounts) {
     popt.k = small_index().k;
     const auto ref = mera::shard::ShardedReference::build(
         rt0, w.contigs, plan_shards(w.contigs, popt), small_index());
-    std::string sam_perread;
-    mera::core::PipelineStats stats_perread;
-    for (const std::size_t pooling : {std::size_t{0}, std::size_t{1}}) {
-      Runtime rt(Topology(4, 2));
-      mera::core::SessionConfig scfg = batch_session(SwIsa::kAuto, pooling);
-      scfg.max_hits_per_seed = 4096;  // exhaustive: shard-composable regime
-      mera::shard::ShardedAlignSession session(ref, scfg);
-      std::ostringstream os;
-      mera::core::SamStreamSink sam(os, ref.sam_targets(), rt.nranks());
-      const auto res = session.align_batch(rt, w.reads, sam);
-      if (pooling == 0) {
-        sam_perread = os.str();
-        stats_perread = res.stats;
-        ASSERT_FALSE(sam_perread.empty());
-      } else {
-        EXPECT_EQ(sam_perread, os.str()) << "K=" << shards;
-        expect_same_stats(stats_perread, res.stats,
-                          "K=" + std::to_string(shards));
-      }
+    mera::core::SessionConfig oracle_cfg = oracle_session();
+    oracle_cfg.max_hits_per_seed = 4096;  // exhaustive: shard-composable
+    const RunOutput oracle = run_sharded(ref, oracle_cfg, w.reads);
+    for (const SwIsa isa : supported_tiers()) {
+      mera::core::SessionConfig cfg = batch_session(isa);
+      cfg.max_hits_per_seed = oracle_cfg.max_hits_per_seed;
+      expect_same_output(oracle, run_sharded(ref, cfg, w.reads),
+                         "K=" + std::to_string(shards) + " " + isa_name(isa));
     }
   }
-}
-
-TEST(PooledSession, PoolingRaisesLaneOccupancyOnSimdTiers) {
-  if (isa_lanes8(SwIsa::kAuto) <= 1)
-    GTEST_SKIP() << "scalar-only host: no lanes to fill";
-  const auto w = make_mixed_workload(25'000, 1.2, /*seed=*/41);
-  Runtime rt1(Topology(4, 2)), rt2(Topology(4, 2));
-  const auto ref =
-      mera::core::IndexedReference::build(rt1, w.contigs, small_index());
-  mera::core::AlignSession s1(ref, batch_session(SwIsa::kAuto, 0));
-  mera::core::AlignSession s2(ref, batch_session(SwIsa::kAuto, 1));
-  mera::core::CountingSink c1, c2;
-  const auto r1 = s1.align_batch(rt1, w.reads, c1);
-  const auto r2 = s2.align_batch(rt2, w.reads, c2);
-  // The per-read path must have run SIMD sweeps for the comparison to mean
-  // anything; the pooled path must then fill lanes strictly better.
-  ASSERT_GT(r1.lane_stats.groups, 0u);
-  ASSERT_GT(r2.lane_stats.groups, 0u);
-  EXPECT_GT(r2.lane_stats.mean_occupancy(), r1.lane_stats.mean_occupancy());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <initializer_list>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -73,12 +74,14 @@ class Args {
     return positional_;
   }
 
-  /// Reject flags outside `known` (and stray positional arguments) instead of
-  /// silently ignoring them.
-  void check_known(std::initializer_list<std::string_view> known) const {
+  /// Reject flags outside `known` and `shared` (and stray positional
+  /// arguments) instead of silently ignoring them.
+  void check_known(std::initializer_list<std::string_view> known,
+                   std::span<const std::string_view> shared = {}) const {
     for (const auto& [name, values] : flags_) {
       bool ok = false;
       for (const auto& k : known) ok = ok || k == name;
+      for (const auto& k : shared) ok = ok || k == name;
       if (!ok) throw UsageError("unknown flag --" + name);
     }
     if (!positional_.empty())
@@ -89,5 +92,15 @@ class Args {
   std::map<std::string, std::vector<std::string>> flags_;
   std::vector<std::string> positional_;
 };
+
+/// The @PG CL field: the invocation verbatim, space-separated.
+inline std::string command_line_of(int argc, char** argv) {
+  std::string cl;
+  for (int i = 0; i < argc; ++i) {
+    if (i) cl += ' ';
+    cl += argv[i];
+  }
+  return cl;
+}
 
 }  // namespace mera::tools
