@@ -221,7 +221,8 @@ void load_caches(const std::string& path, const SnapshotMeta& expect,
   if (flags & kFlagTargetSection) apply_section(target);
 }
 
-std::string shard_snapshot_path(const std::string& dir, int s) {
+std::string shard_snapshot_path(const std::string& dir, int s, int nshards) {
+  if (nshards == 1) return dir + "/session.mcache";
   char name[32];
   std::snprintf(name, sizeof name, "shard-%04d.mcache", s);
   return dir + "/" + name;

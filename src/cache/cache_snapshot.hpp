@@ -95,14 +95,11 @@ void save_caches(const std::string& path, const SnapshotMeta& meta,
 void load_caches(const std::string& path, const SnapshotMeta& expect,
                  SeedIndexCache* seed, TargetCache* target);
 
-/// Canonical file name of shard `s` inside a snapshot directory — the
-/// sharded session composes one snapshot per shard the same way
-/// ShardedReference composes one IndexedReference per shard.
-std::string shard_snapshot_path(const std::string& dir, int s);
-
-/// File name the single-index paths (plain AlignSession via the CLI) use
-/// inside a snapshot directory.
-inline constexpr const char* kSessionSnapshotFile = "session.mcache";
+/// Canonical file of shard `s` inside the snapshot directory of an
+/// `nshards`-shard session — the sharded session composes one snapshot per
+/// shard the same way ShardedReference composes one IndexedReference per
+/// shard. One shard: `dir/session.mcache`; K >= 2: `dir/shard-NNNN.mcache`.
+std::string shard_snapshot_path(const std::string& dir, int s, int nshards);
 
 // --- raw stream primitives shared by the cache save/load implementations ---
 namespace snapio {

@@ -73,6 +73,23 @@ std::shared_ptr<const ShardedReferenceState> compose(
   return st;
 }
 
+/// Shard i holds the contiguous global-id block after shard i-1's targets,
+/// weighted by its total bases.
+std::shared_ptr<const ShardedReferenceState> compose_contiguous(
+    core::IndexConfig cfg, std::vector<core::IndexedReference> shards) {
+  std::vector<std::uint32_t> sizes;
+  std::vector<std::uint64_t> weights;
+  for (const core::IndexedReference& shard : shards) {
+    const core::TargetStore& store = shard.targets();
+    sizes.push_back(store.num_targets());
+    std::uint64_t bases = 0;
+    for (std::uint32_t t = 0; t < store.num_targets(); ++t)
+      bases += store.target_unsync(t).seq.size();
+    weights.push_back(bases);
+  }
+  return compose(contiguous_plan(sizes, weights), cfg, std::move(shards));
+}
+
 }  // namespace
 
 ShardedReference ShardedReference::build(
@@ -106,20 +123,17 @@ ShardedReference ShardedReference::build_from_fastas(
   if (fastas.empty())
     throw std::invalid_argument("ShardedReference: no target files");
   std::vector<core::IndexedReference> shards;
-  std::vector<std::uint32_t> sizes;
-  std::vector<std::uint64_t> weights;  // total bases per file
   shards.reserve(fastas.size());
-  for (const std::string& path : fastas) {
+  for (const std::string& path : fastas)
     shards.push_back(core::IndexedReference::build_from_fasta(rt, path, cfg));
-    const core::TargetStore& store = shards.back().targets();
-    sizes.push_back(store.num_targets());
-    std::uint64_t bases = 0;
-    for (std::uint32_t t = 0; t < store.num_targets(); ++t)
-      bases += store.target_unsync(t).seq.size();
-    weights.push_back(bases);
-  }
-  return ShardedReference(
-      compose(contiguous_plan(sizes, weights), cfg, std::move(shards)));
+  return ShardedReference(compose_contiguous(cfg, std::move(shards)));
+}
+
+ShardedReference ShardedReference::of(core::IndexedReference ref) {
+  const core::IndexConfig cfg = ref.config();
+  std::vector<core::IndexedReference> shards;
+  shards.push_back(std::move(ref));
+  return ShardedReference(compose_contiguous(cfg, std::move(shards)));
 }
 
 ShardedReference::ShardedReference(

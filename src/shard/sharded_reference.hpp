@@ -58,6 +58,12 @@ class ShardedReference {
       pgas::Runtime& rt, const std::vector<std::string>& fastas,
       core::IndexConfig cfg = {});
 
+  /// One-shard composition of an already-built index: the returned handle
+  /// shares `ref`'s state (same fingerprint, same snapshots), and global
+  /// target ids are `ref`'s own ids. This is how an unsharded reference runs
+  /// through ShardedAlignSession.
+  [[nodiscard]] static ShardedReference of(core::IndexedReference ref);
+
   [[nodiscard]] int num_shards() const noexcept;
   [[nodiscard]] const core::IndexedReference& shard(int s) const;
   [[nodiscard]] const ShardPlan& plan() const noexcept;

@@ -121,7 +121,7 @@ void ShardedAlignSession::save_caches(const pgas::Runtime& rt,
   // and maps failures to CacheSnapshotError.
   for (int s = 0; s < num_shards(); ++s)
     sessions_[static_cast<std::size_t>(s)]->save_caches(
-        rt, cache::shard_snapshot_path(dir, s));
+        rt, cache::shard_snapshot_path(dir, s, num_shards()));
 }
 
 void ShardedAlignSession::load_caches(const pgas::Runtime& rt,
@@ -129,22 +129,22 @@ void ShardedAlignSession::load_caches(const pgas::Runtime& rt,
   // A snapshot directory of a different K would either miss a shard file or
   // carry a stray one; both are composition mismatches worth naming before
   // the per-shard fingerprint checks run.
-  for (int s = 0; s < num_shards(); ++s) {
-    const std::string path = cache::shard_snapshot_path(dir, s);
+  const int k = num_shards();
+  for (int s = 0; s < k; ++s) {
+    const std::string path = cache::shard_snapshot_path(dir, s, k);
     if (!std::filesystem::exists(path))
       throw cache::CacheSnapshotError(
           "cache snapshot: " + path + " is missing — " + dir +
-          " does not hold a snapshot of this " + std::to_string(num_shards()) +
+          " does not hold a snapshot of this " + std::to_string(k) +
           "-shard session");
   }
-  if (std::filesystem::exists(cache::shard_snapshot_path(dir, num_shards())))
+  if (k > 1 && std::filesystem::exists(cache::shard_snapshot_path(dir, k, k)))
     throw cache::CacheSnapshotError(
-        "cache snapshot: " + dir + " holds more than " +
-        std::to_string(num_shards()) +
+        "cache snapshot: " + dir + " holds more than " + std::to_string(k) +
         " shard files — it was saved by a different sharding");
-  for (int s = 0; s < num_shards(); ++s)
+  for (int s = 0; s < k; ++s)
     sessions_[static_cast<std::size_t>(s)]->load_caches(
-        rt, cache::shard_snapshot_path(dir, s));
+        rt, cache::shard_snapshot_path(dir, s, k));
 }
 
 int ShardedAlignSession::effective_parallelism(int nranks) const {
@@ -176,15 +176,6 @@ ShardedBatchResult ShardedAlignSession::align_batch(
   if (cfg_.session.permute_queries)
     core::permute_queries(reads, cfg_.session.permute_seed);
   return run_batch(rt, reads, sink);
-}
-
-ShardedBatchResult ShardedAlignSession::align_batch_file(
-    pgas::Runtime& rt, const std::string& reads_seqdb,
-    core::AlignmentSink& sink) {
-  // One read of the file for all K shards. Permuting the loaded records with
-  // the session seed is the same Fisher-Yates the single-reference file path
-  // applies to record indices, so rank assignments match it exactly.
-  return align_batch(rt, core::load_read_batch(reads_seqdb), sink);
 }
 
 ShardedFileStreamResult ShardedAlignSession::align_batch_files(

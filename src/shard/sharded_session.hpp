@@ -23,8 +23,11 @@
 // shard_parallelism — the executor changes wall-clock time, never bytes
 // (tests/test_async.cpp asserts this for K in {1,2,4} and all SW kernels).
 // Single-shard note: with K == 1 there is nothing to merge, so the per-read
-// reorder is skipped and records flow through in the shard's own discovery
-// order — same records, same rank partition, just not re-sorted.
+// reorder is skipped and records flow through in the shard's own emission
+// order: a K=1 session over ShardedReference::of(ref) emits exactly the
+// stream, SAM bytes and stats of a plain AlignSession over `ref`
+// (tests/test_shard.cpp pins it). That is why the front ends (meraligner,
+// meralignerd, serve::Backend) drive every reference through this class.
 //
 // Equivalence contract: with the per-shard search exhaustive — exact-match
 // fast path off and max_hits_per_seed large enough that no lookup truncates
@@ -141,16 +144,11 @@ class ShardedAlignSession {
                                  std::vector<seq::SeqRecord>&& reads,
                                  core::AlignmentSink& sink);
 
-  /// Align one SeqDB file batch. The file is read once (not once per shard)
-  /// on the driving thread and then streamed through the in-memory path.
-  ShardedBatchResult align_batch_file(pgas::Runtime& rt,
-                                      const std::string& reads_seqdb,
-                                      core::AlignmentSink& sink);
-
-  /// Align a stream of reads-batch files (FASTQ or SeqDB) in file order,
-  /// overlapping each batch's load with the previous batch's align work
-  /// when opt.prefetch is set (double buffering). Emission is strictly
-  /// batch-ordered and bit-identical to calling align_batch_file per file.
+  /// Align a stream of reads-batch files (FASTQ or SeqDB) in file order.
+  /// Each file is read once (not once per shard) into memory and streamed
+  /// through align_batch; with opt.prefetch set, batch N+1 loads while
+  /// batch N aligns (double buffering), otherwise load and align alternate
+  /// strictly. Emission is batch-ordered and bit-identical either way.
   /// `on_batch(index, result)` fires as each batch completes, so callers
   /// can report progress while the stream is still running.
   ShardedFileStreamResult align_batch_files(
@@ -182,11 +180,12 @@ class ShardedAlignSession {
 
   // --- cache persistence (warm start across sessions and processes) --------
   /// Snapshot every shard session's software caches into directory `dir`
-  /// (created if needed): one self-validating file per shard
-  /// (shard-0000.mcache, ...), composed exactly like the ShardedReference's
-  /// per-shard indexes. Safe concurrently with an in-flight parallel batch
-  /// (each cache shard is snapshotted under its lock). Throws
-  /// cache::CacheSnapshotError on I/O failure.
+  /// (created if needed): one self-validating file per shard, named by
+  /// cache::shard_snapshot_path (session.mcache for one shard,
+  /// shard-0000.mcache, ... otherwise), composed exactly like the
+  /// ShardedReference's per-shard indexes. Safe concurrently with an
+  /// in-flight parallel batch (each cache shard is snapshotted under its
+  /// lock). Throws cache::CacheSnapshotError on I/O failure.
   void save_caches(const pgas::Runtime& rt, const std::string& dir) const;
   /// Load a directory written by save_caches into the K shard sessions.
   /// Each file is validated against its own shard's reference fingerprint,

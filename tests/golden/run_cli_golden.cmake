@@ -19,9 +19,14 @@
 #      set exactly (run with --no-exact on both sides: the Lemma-1
 #      single-copy shortcut is defined per index, so it is the one knob that
 #      legitimately differs between one index and K shards)
+#   5. --shard-parallel: executor width changes no byte
+#   6. --no-prefetch: the strictly serial stream hits the golden bytes and
+#      writes nothing beside its input FASTQs (no derived .sdb)
+#   7. cache persistence: save in one process, warm-load in another
+#   8. observability: --trace/--metrics/--quiet change no byte
 #
-# Fixtures are copied into WORKDIR first because the CLI writes a derived
-# .sdb file next to the input FASTQ; the source tree must stay clean.
+# Fixtures are copied into WORKDIR first, so the runs read and write only
+# scratch files and the source tree stays clean.
 cmake_minimum_required(VERSION 3.20)
 
 get_filename_component(FIXTURES ${GOLDEN} DIRECTORY)
@@ -215,6 +220,23 @@ if(NOT err MATCHES "unknown flag" OR NOT err MATCHES "meraligner --targets")
   message(FATAL_ERROR "bad-flag run did not print the usage message:\n${err}")
 endif()
 
+# Integer flags must parse whole: trailing junk or a fraction is a usage
+# error (exit 2 + usage), not silently truncated to its numeric prefix.
+foreach(bad "--k;31x" "--ranks;4.5")
+  execute_process(
+    COMMAND ${CLI}
+      --targets ${WORKDIR}/contigs.fa
+      --reads ${WORKDIR}/reads.fastq
+      --k 31 --ranks 4 --ppn 2 ${bad}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "expects an integer"
+     OR NOT err MATCHES "meraligner --targets")
+    message(FATAL_ERROR "'${bad}' was not rejected with usage (rc=${rc}):\n${err}")
+  endif()
+endforeach()
+
 # --- 4. sharded reference reproduces the single-index record set -------------
 execute_process(
   COMMAND ${CLI}
@@ -313,6 +335,13 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "--no-prefetch multi-batch run exited with ${rc}\nstderr:\n${err}")
 endif()
 check_sam(${WORKDIR}/out_multi_noprefetch.sam "multi-batch --no-prefetch")
+# Batches load straight into memory: no SeqDB conversion lands beside the
+# user's input files.
+foreach(input reads_a reads_b)
+  if(EXISTS ${WORKDIR}/${input}.fastq.sdb)
+    message(FATAL_ERROR "--no-prefetch wrote ${input}.fastq.sdb beside its input")
+  endif()
+endforeach()
 
 # --- 7. cache persistence: save in one process, warm-load in another ---------
 # The cold run snapshots its caches; a second process warm-starts from them.

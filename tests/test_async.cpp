@@ -506,7 +506,8 @@ TEST(ShardedStream, PrefetchedParallelStreamMatchesSerialPerFilePath) {
     core::VectorSink vec(rt.nranks());
     core::SamStreamSink sam(sam_serial, ref.sam_targets(), rt.nranks());
     core::TeeSink tee({&vec, &sam});
-    for (const auto& p : paths) (void)session.align_batch_file(rt, p, tee);
+    for (const auto& p : paths)
+      (void)session.align_batch(rt, core::load_read_batch(p), tee);
     rec_serial = vec.take();
   }
 

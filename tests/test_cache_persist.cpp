@@ -755,6 +755,61 @@ TEST_F(WarmStartTest, SnapshotOfDifferentShardingIsRejected) {
   EXPECT_THROW(s4c.load_caches(rt, path("never_saved")), CacheSnapshotError);
 }
 
+/// The message of the CacheSnapshotError `fn` throws ("" if it does not).
+template <typename Fn>
+std::string snapshot_error(Fn&& fn) {
+  try {
+    fn();
+  } catch (const CacheSnapshotError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(WarmStartTest, OneShardSnapshotIsSessionMcacheAndShardCountsDoNotMix) {
+  // One naming rule (shard_snapshot_path): a one-shard session snapshots to
+  // DIR/session.mcache — the file a plain AlignSession writes and loads —
+  // and a K >= 2 session to DIR/shard-NNNN.mcache. A directory of the other
+  // shape is refused with an error naming the file that is not there.
+  const auto w = make_workload(20'000, 0.8);
+  Runtime rt(Topology(4, 2));
+  const auto plain_ref =
+      core::IndexedReference::build(rt, w.contigs, small_index());
+  const auto ref1 = shard::ShardedReference::of(plain_ref);
+  const auto ref2 =
+      shard::ShardedReference::build(rt, w.contigs, 2, small_index());
+  core::CountingSink sink;
+
+  shard::ShardedAlignSession s1(ref1, core::SessionConfig{});
+  s1.align_batch(rt, w.reads, sink);
+  s1.save_caches(rt, path("k1"));
+  EXPECT_TRUE(std::filesystem::exists(path("k1/session.mcache")));
+  EXPECT_FALSE(std::filesystem::exists(path("k1/shard-0000.mcache")));
+  // The same file format and fingerprint as the plain session's snapshot.
+  core::AlignSession plain(plain_ref, core::SessionConfig{});
+  EXPECT_NO_THROW(plain.load_caches(rt, path("k1/session.mcache")));
+
+  shard::ShardedAlignSession s2(ref2, core::SessionConfig{});
+  s2.align_batch(rt, w.reads, sink);
+  s2.save_caches(rt, path("k2"));
+  EXPECT_TRUE(std::filesystem::exists(path("k2/shard-0000.mcache")));
+  EXPECT_TRUE(std::filesystem::exists(path("k2/shard-0001.mcache")));
+  EXPECT_FALSE(std::filesystem::exists(path("k2/session.mcache")));
+
+  shard::ShardedAlignSession fresh1(ref1, core::SessionConfig{});
+  EXPECT_NE(snapshot_error([&] { fresh1.load_caches(rt, path("k2")); })
+                .find(path("k2/session.mcache")),
+            std::string::npos);
+  shard::ShardedAlignSession fresh2(ref2, core::SessionConfig{});
+  EXPECT_NE(snapshot_error([&] { fresh2.load_caches(rt, path("k1")); })
+                .find(path("k1/shard-0000.mcache")),
+            std::string::npos);
+
+  // Each directory still warm-loads into its own shape.
+  EXPECT_NO_THROW(fresh1.load_caches(rt, path("k1")));
+  EXPECT_NO_THROW(fresh2.load_caches(rt, path("k2")));
+}
+
 // ---------------------------------------------------------------------------
 // 4. Counter baseline across load_caches (the reset-ambiguity fix, pinned)
 // ---------------------------------------------------------------------------

@@ -25,8 +25,10 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "cache/cache_snapshot.hpp"
 #include "core/align_session.hpp"
 #include "core/alignment_sink.hpp"
 #include "core/indexed_reference.hpp"
@@ -459,6 +461,48 @@ TEST_F(ServeTest, AutosaveWhileServingLeavesALoadableSnapshot) {
   core::AlignSession warm(
       core::IndexedReference::build(rt, w.contigs, small_index()));
   EXPECT_NO_THROW(warm.load_caches(rt, snap));
+}
+
+TEST_F(ServeTest, UnshardedBackendWarmLoadsAPlainSessionSnapshot) {
+  // A DIR/session.mcache written by core::AlignSession::save_caches is what
+  // an unsharded Backend (a one-shard session) loads from DIR, and warm
+  // caches change no byte of the served SAM.
+  const Workload w = make_workload(1010, 2);
+  pgas::Runtime rt(kTopo);
+  const auto ref = core::IndexedReference::build(rt, w.contigs, small_index());
+  {
+    core::AlignSession session(ref);
+    core::CountingSink sink;
+    for (const auto& b : w.batches) session.align_batch(rt, b, sink);
+    session.save_caches(rt, path("cache/session.mcache"));
+  }
+
+  const auto serve_batches = [&](serve::Backend& backend) {
+    std::ostringstream os(std::ios::binary);
+    core::SamStreamSink sink(os, backend.sam_targets(), rt.nranks(),
+                             test_program());
+    std::uint64_t seed_hits = 0;
+    for (auto b : w.batches)
+      seed_hits += backend.align_batch(rt, std::move(b), sink).seed_cache.hits;
+    return std::make_pair(os.str(), seed_hits);
+  };
+  serve::Backend cold(ref, core::SessionConfig{});
+  serve::Backend warm(ref, core::SessionConfig{});
+  warm.load_caches(rt, path("cache"));
+  EXPECT_EQ(warm.num_shards(), 1);
+  const auto [cold_sam, cold_hits] = serve_batches(cold);
+  const auto [warm_sam, warm_hits] = serve_batches(warm);
+  EXPECT_EQ(warm_sam, cold_sam);
+  EXPECT_GT(warm_hits, cold_hits);
+
+  // A directory without session.mcache is refused, naming the file.
+  serve::Backend other(ref, core::SessionConfig{});
+  try {
+    other.load_caches(rt, path("empty"));
+    ADD_FAILURE() << "loading an empty directory did not throw";
+  } catch (const cache::CacheSnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("session.mcache"), std::string::npos);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -44,11 +44,12 @@ struct Workload {
 };
 
 Workload make_workload(std::size_t genome_len, double depth,
-                       double error_rate = 0.005, std::uint64_t seed = 7) {
+                       double error_rate = 0.005, std::uint64_t seed = 7,
+                       double repeat_fraction = 0.02) {
   Workload w;
   seq::GenomeParams gp;
   gp.length = genome_len;
-  gp.repeat_fraction = 0.02;
+  gp.repeat_fraction = repeat_fraction;
   gp.rng_seed = seed;
   const std::string genome = simulate_genome(gp);
   seq::ContigParams cp;
@@ -318,6 +319,116 @@ TEST(ShardedSession, OutputBitIdenticalToMonolithicSessionAllKernelsAllK) {
   }
 }
 
+/// `with_cache_hits` = false skips the node-cache hit counters and the
+/// modeled seconds derived from them: when two rank threads share a node
+/// cache, which of them misses on a seed both look up is thread timing, so
+/// those counters vary run to run even for one session type.
+void expect_identical_stats(const core::PipelineStats& a,
+                            const core::PipelineStats& b,
+                            bool with_cache_hits) {
+  EXPECT_EQ(a.reads_processed, b.reads_processed);
+  EXPECT_EQ(a.reads_aligned, b.reads_aligned);
+  EXPECT_EQ(a.alignments_reported, b.alignments_reported);
+  EXPECT_EQ(a.seeds_indexed, b.seeds_indexed);
+  EXPECT_EQ(a.seed_lookups, b.seed_lookups);
+  EXPECT_EQ(a.target_fetches, b.target_fetches);
+  EXPECT_EQ(a.sw_calls, b.sw_calls);
+  EXPECT_EQ(a.sw_cells, b.sw_cells);
+  EXPECT_EQ(a.memcmp_calls, b.memcmp_calls);
+  EXPECT_EQ(a.exact_match_reads, b.exact_match_reads);
+  EXPECT_EQ(a.hits_truncated, b.hits_truncated);
+  if (!with_cache_hits) return;
+  EXPECT_EQ(a.seed_cache_hits, b.seed_cache_hits);
+  EXPECT_EQ(a.target_cache_hits, b.target_cache_hits);
+  EXPECT_EQ(a.comm_lookup_s, b.comm_lookup_s);
+  EXPECT_EQ(a.comm_fetch_s, b.comm_fetch_s);
+}
+
+TEST(ShardedSession, OneShardEmitsThePlainSessionStream) {
+  // meraligner, meralignerd and serve::Backend run an unsharded reference as
+  // ShardedReference::of(ref) through ShardedAlignSession. That rests on
+  // this: a K=1 session emits what a plain AlignSession over the same index
+  // emits — the same records in the same UNSORTED order, the same SAM bytes
+  // over a multi-batch stream, the same stats — with the exact-match path
+  // on, query permutation on, and with and without hit truncation. Both
+  // sessions share one built index: per-seed hit-list order comes from the
+  // threaded SPMD build, so only the same handle reproduces it. Repeats
+  // cover 15% of the genome, so seeds with more than 2 hits exist.
+  const auto w = make_workload(30'000, 1.5, 0.005, 7, /*repeat=*/0.15);
+  const auto mid =
+      w.reads.begin() + static_cast<std::ptrdiff_t>(w.reads.size() / 2);
+  const std::vector<SeqRecord> b1(w.reads.begin(), mid);
+  const std::vector<SeqRecord> b2(mid, w.reads.end());
+
+  struct Output {
+    std::vector<AlignmentRecord> records;  // emission order
+    std::string sam;
+    core::PipelineStats stats;
+  };
+  // 2 ranks per node: the shared node caches see concurrent traffic. 1 rank
+  // per node: cache hits are deterministic, so every counter must match.
+  for (const int ppn : {2, 1}) {
+    Runtime rt(Topology(4, ppn));
+    const auto ref =
+        core::IndexedReference::build(rt, w.contigs, small_index());
+    ASSERT_TRUE(ref.exact_match_marked());
+    const auto one = ShardedReference::of(ref);
+    ASSERT_EQ(one.num_shards(), 1);
+    EXPECT_EQ(one.shard(0).fingerprint(), ref.fingerprint());
+    const auto catalog = core::sam_targets(ref.targets());
+    ASSERT_EQ(one.sam_targets().size(), catalog.size());
+    for (std::size_t t = 0; t < catalog.size(); ++t) {
+      EXPECT_EQ(one.sam_targets()[t].name, catalog[t].name);
+      EXPECT_EQ(one.sam_targets()[t].length, catalog[t].length);
+    }
+
+    const auto stream = [&](auto& session, core::SamStreamSink& sam,
+                            const std::ostringstream& sam_text) {
+      Output out;
+      core::VectorSink vec(rt.nranks());
+      core::TeeSink tee({&vec, &sam});
+      out.stats += session.align_batch(rt, b1, tee).stats;
+      out.stats += session.align_batch(rt, b2, tee).stats;
+      out.records = vec.take();
+      out.sam = sam_text.str();
+      return out;
+    };
+
+    for (const SwKernel kernel :
+         {SwKernel::kFullDP, SwKernel::kBanded, SwKernel::kBatch}) {
+      for (const std::size_t max_hits : {std::size_t{2}, std::size_t{32}}) {
+        SCOPED_TRACE("ppn=" + std::to_string(ppn) + " kernel=" +
+                     std::to_string(static_cast<int>(kernel)) +
+                     " max_hits=" + std::to_string(max_hits));
+        core::SessionConfig sc;  // exact-match path and permutation on
+        sc.extension.kernel = kernel;
+        sc.max_hits_per_seed = max_hits;
+
+        core::AlignSession plain(ref, sc);
+        std::ostringstream plain_text;
+        core::SamStreamSink plain_sam(plain_text, ref);
+        const Output want = stream(plain, plain_sam, plain_text);
+
+        ShardedAlignSession sharded(one, sc);
+        std::ostringstream sharded_text;
+        core::SamStreamSink sharded_sam(sharded_text, one.sam_targets(),
+                                        rt.nranks());
+        const Output got = stream(sharded, sharded_sam, sharded_text);
+
+        ASSERT_GT(want.records.size(), 0u);
+        ASSERT_GT(want.stats.exact_match_reads, 0u);
+        if (max_hits == 2) ASSERT_GT(want.stats.hits_truncated, 0u);
+        ASSERT_EQ(got.records.size(), want.records.size());
+        for (std::size_t i = 0; i < want.records.size(); ++i)
+          ASSERT_EQ(got.records[i], want.records[i]) << "record " << i;
+        EXPECT_EQ(got.sam, want.sam);
+        expect_identical_stats(got.stats, want.stats,
+                               /*with_cache_hits=*/ppn == 1);
+      }
+    }
+  }
+}
+
 TEST(ShardedSession, SamBytesMatchMonolithicForEverySinkAndAreDeterministic) {
   const auto w = make_workload(30'000, 1.2);
   const core::SessionConfig sc = exhaustive_session();
@@ -447,7 +558,11 @@ TEST(ShardedSession, FileBatchMatchesInMemoryBatch) {
 
   core::VectorSink v_mem(rt.nranks()), v_file(rt.nranks());
   const auto r_mem = session.align_batch(rt, w.reads, v_mem);
-  const auto r_file = session.align_batch_file(rt, db_path, v_file);
+  // The strictly serial file stream (meraligner --no-prefetch).
+  const auto stream = session.align_batch_files(
+      rt, {db_path}, v_file, core::FileStreamOptions{.prefetch = false});
+  ASSERT_EQ(stream.batches.size(), 1u);
+  const auto& r_file = stream.batches.front();
   auto mem = v_mem.take();
   auto file = v_file.take();
   EXPECT_EQ(r_mem.stats.alignments_reported, r_file.stats.alignments_reported);

@@ -64,9 +64,8 @@ struct AlignFlags {
   int ppn = 4;
   /// --shards K over one --targets collection (0 = not given); repeated
   /// --targets make one shard per file instead.
-  long shards = 0;
+  int shards = 0;
   shard::ShardWeight shard_weight = shard::ShardWeight::kCostModel;
-  bool sharded = false;
   int shard_parallel = 0;  ///< 0 = auto: min(K, hardware threads / ranks)
 };
 
@@ -77,7 +76,7 @@ inline AlignFlags parse_align_flags(const Args& args) {
     throw UsageError("missing required flag --targets");
 
   core::IndexConfig& icfg = f.index;
-  icfg.k = static_cast<int>(args.get_int("k", 51));
+  icfg.k = args.get_int<int>("k", 51);
   icfg.buffer_S = static_cast<std::size_t>(args.get_int("S", 1000));
   icfg.fragment_len =
       static_cast<std::size_t>(args.get_int("fragment-len", 1024));
@@ -101,17 +100,17 @@ inline AlignFlags parse_align_flags(const Args& args) {
   }
   scfg.cache_admission = args.has("cache-admission");
 
-  f.nranks = static_cast<int>(args.get_int("ranks", 8));
-  f.ppn = static_cast<int>(args.get_int("ppn", 4));
+  f.nranks = args.get_int<int>("ranks", 8);
+  f.ppn = args.get_int<int>("ppn", 4);
 
-  f.shards = args.get_int("shards", 0);
+  f.shards = args.get_int<int>("shards", 0);
   if (args.has("shards") && f.shards < 1)
     throw UsageError("--shards must be >= 1");
   const std::size_t nfiles = f.target_files.size();
-  if (nfiles > 1 && f.shards != 0 && f.shards != static_cast<long>(nfiles))
+  if (nfiles > 1 && f.shards != 0 &&
+      static_cast<std::size_t>(f.shards) != nfiles)
     throw UsageError(
         "--shards conflicts with repeated --targets (one shard per file)");
-  f.sharded = nfiles > 1 || f.shards > 1;
   // --shard-by steers the planner, which only runs when one collection is
   // being split; anywhere else the flag would be a silent no-op.
   if (args.has("shard-by") && (nfiles > 1 || f.shards < 2))
@@ -123,28 +122,29 @@ inline AlignFlags parse_align_flags(const Args& args) {
   // silent no-op. 0/negative (and non-numeric, via get_int) are errors —
   // "no parallelism" is spelled --shard-parallel 1.
   if (args.has("shard-parallel")) {
-    if (!f.sharded)
+    if (nfiles < 2 && f.shards < 2)
       throw UsageError(
           "--shard-parallel requires a sharded reference (--shards K or "
           "repeated --targets)");
-    const long j = args.get_int("shard-parallel", 0);
-    if (j < 1)
+    f.shard_parallel = args.get_int<int>("shard-parallel", 0);
+    if (f.shard_parallel < 1)
       throw UsageError("--shard-parallel must be >= 1, got " +
                        args.get("shard-parallel"));
-    f.shard_parallel = static_cast<int>(j);
   }
   return f;
 }
 
-/// The sharded reference the flags describe (requires f.sharded): one shard
-/// per --targets file, or --shards K planned over one collection.
-inline shard::ShardedReference build_sharded_reference(pgas::Runtime& rt,
-                                                       const AlignFlags& f) {
-  if (f.target_files.size() > 1)
+/// The reference the flags describe: one shard per --targets file (a single
+/// file with no --shards K >= 2 is the one-shard reference, built exactly
+/// like IndexedReference::build_from_fasta), or --shards K planned over one
+/// collection.
+inline shard::ShardedReference build_reference(pgas::Runtime& rt,
+                                               const AlignFlags& f) {
+  if (f.target_files.size() > 1 || f.shards < 2)
     return shard::ShardedReference::build_from_fastas(rt, f.target_files,
                                                       f.index);
   shard::ShardPlanOptions popt;
-  popt.shards = static_cast<int>(f.shards);
+  popt.shards = f.shards;
   popt.weight = f.shard_weight;
   popt.k = f.index.k;
   const auto targets = seq::read_fasta(f.target_files[0]);

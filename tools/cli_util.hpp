@@ -1,13 +1,15 @@
 // Minimal flag parsing shared by the command-line tools.
 #pragma once
 
-#include <cstdlib>
+#include <charconv>
 #include <initializer_list>
 #include <map>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 namespace mera::tools {
@@ -49,15 +51,25 @@ class Args {
     const auto it = flags_.find(name);
     return it == flags_.end() ? def : it->second.back();
   }
-  [[nodiscard]] long get_int(const std::string& name, long def) const {
+  /// The whole value must parse as a T: trailing junk ("4x", "31.5"), an
+  /// empty value and values outside T's range are usage errors. Int-typed
+  /// flags ask for get_int<int>, so nothing is narrowed after the check.
+  template <typename T = long>
+  [[nodiscard]] T get_int(const std::string& name, T def) const {
     const auto it = flags_.find(name);
     if (it == flags_.end()) return def;
-    try {
-      return std::stol(it->second.back());
-    } catch (const std::exception&) {
-      throw UsageError("flag --" + name + " expects an integer, got '" +
-                       it->second.back() + "'");
-    }
+    const std::string& v = it->second.back();
+    // from_chars takes no '+' sign; an explicit positive sign is fine.
+    const char* first = v.data() + (v.size() > 1 && v[0] == '+' ? 1 : 0);
+    const char* last = v.data() + v.size();
+    T out{};
+    const auto [ptr, ec] = std::from_chars(first, last, out);
+    if (ec == std::errc::result_out_of_range)
+      throw UsageError("flag --" + name + " value '" + v + "' is out of range");
+    if (ec != std::errc{} || ptr != last)
+      throw UsageError("flag --" + name + " expects an integer, got '" + v +
+                       "'");
+    return out;
   }
   [[nodiscard]] std::string require(const std::string& name) const {
     const auto it = flags_.find(name);

@@ -15,27 +15,29 @@
 //              [--metrics-format json|prom] [--quiet]
 //
 // The distributed seed index is built ONCE from --targets; every --reads
-// batch is then streamed against it through one AlignSession, so batch N>1
+// batch is then streamed against it through one session, so batch N>1
 // pays no index construction. With --out, all batches stream into a single
 // SAM file (header once). Unknown flags are an error (exit 2), not ignored.
 //
 // Sharded references: pass --shards K to split one --targets collection into
 // K balanced per-runtime index shards (planned by total bases or cost-model
 // seed weight, --shard-by), or pass --targets repeatedly for one shard per
-// FASTA. Batches then stream through a ShardedAlignSession that reconciles
-// per-shard hits into one SAM with global target ids — the "GenBank-scale"
-// screening layout where no single runtime holds the whole index.
+// FASTA. The session reconciles per-shard hits into one SAM with global
+// target ids — the "GenBank-scale" screening layout where no single runtime
+// holds the whole index. Without either, the reference is one shard and the
+// same ShardedAlignSession emits exactly what a plain AlignSession would.
 // --shard-parallel J drives J shards concurrently per batch (default: auto,
 // min(K, hardware threads / ranks)); output is bit-identical at every J.
 //
 // Batch streaming is double-buffered by default: while batch N aligns,
 // batch N+1 loads on a background worker (FASTQ parsed straight into
-// memory). --no-prefetch restores the strictly serial load-then-align loop,
-// converting FASTQ to a temporary SeqDB next to the input (the paper's
-// one-time lossless preprocessing) so every rank reads its own byte range.
+// memory). --no-prefetch restores the strictly serial load-then-align loop:
+// each batch file (FASTQ or SeqDB) is read into memory, then aligned. No
+// file is written beside the inputs either way.
 //
 // Cache persistence: --save-cache DIR snapshots the session's software
-// caches (seed + target, entries and counters) after the last batch;
+// caches (seed + target, entries and counters) after the last batch, as
+// DIR/session.mcache for one shard or DIR/shard-NNNN.mcache per shard;
 // --load-cache DIR warm-starts a later invocation from such a snapshot, so
 // a restarted screening service skips the remote lookups the previous run
 // already paid for. Snapshots are fingerprinted against the reference,
@@ -57,7 +59,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -68,12 +69,9 @@
 #include "cli_util.hpp"
 #include "core/align_session.hpp"
 #include "core/alignment_sink.hpp"
-#include "core/batch_prefetcher.hpp"
-#include "core/indexed_reference.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "seq/seqdb.hpp"
 #include "shard/sharded_reference.hpp"
 #include "shard/sharded_session.hpp"
 
@@ -95,8 +93,8 @@ constexpr const char* kUsage =
     "\n"
     "The index over --targets is built once; each --reads batch is aligned\n"
     "against it in order, streaming SAM into --out (one header, all batches).\n"
-    "While a batch aligns, the next one loads in the background\n"
-    "(--no-prefetch for the strictly serial loop).\n"
+    "While a batch aligns, the next one loads in the background;\n"
+    "--no-prefetch loads and aligns strictly in turn (same SAM, no overlap).\n"
     "--shards K splits one target collection into K balanced index shards;\n"
     "repeating --targets makes one shard per FASTA. Either way the batches\n"
     "stream through every shard and come out as one reconciled SAM.\n"
@@ -119,17 +117,6 @@ constexpr const char* kUsage =
     "registry as JSON (--metrics-format prom for Prometheus text). Neither\n"
     "changes a SAM byte. --quiet silences informational stderr lines.";
 
-/// FASTQ batches get the one-time lossless SeqDB conversion.
-std::string ensure_seqdb(const std::string& reads) {
-  if (mera::core::looks_like_fastq(reads)) {
-    const std::string db = reads + ".sdb";
-    mera::obs::Log::info("converting %s -> %s", reads.c_str(), db.c_str());
-    mera::seq::fastq_to_seqdb(reads, db);
-    return db;
-  }
-  return reads;
-}
-
 void print_batch_line(std::size_t b, std::size_t nbatches,
                       const std::string& name, const mera::core::PipelineStats& s,
                       double time_s) {
@@ -148,25 +135,6 @@ void print_prefetch_line(double wall_s, double load_wall_s, double stall_s) {
       "prefetch: %.3f real s end-to-end, %.3f s of "
       "batch loading overlapped with aligning (%.3f s stalled)",
       wall_s, load_wall_s, stall_s);
-}
-
-/// Warm-load failures are invocation errors (exit 2 + usage): the user
-/// pointed --load-cache at a snapshot that does not exist or does not match
-/// this reference/topology/cost model.
-template <typename SessionT>
-void load_caches_or_usage_error(SessionT& session, const mera::pgas::Runtime& rt,
-                                const std::string& dir,
-                                const std::string& path) {
-  try {
-    session.load_caches(rt, path);
-  } catch (const mera::cache::CacheSnapshotError& e) {
-    throw mera::tools::UsageError("--load-cache " + dir + ": " + e.what());
-  }
-  mera::obs::Log::info("warm caches loaded from %s", dir.c_str());
-}
-
-void print_save_line(const std::string& dir) {
-  mera::obs::Log::info("caches saved to %s", dir.c_str());
 }
 
 void print_total_line(const mera::core::PipelineStats& total, double index_s,
@@ -298,94 +266,53 @@ int main(int argc, char** argv) {
     core::SamProgram pg;
     pg.name = "meraligner";
     pg.command_line = tools::command_line_of(argc, argv);
-    const bool prefetch = !args.has("no-prefetch");
 
-    if (!flags.sharded) {
-      // ---- single-index path ---------------------------------------------
-      const auto ref = core::IndexedReference::build_from_fasta(
-          rt, flags.target_files[0], flags.index);
+    // One session shape: an unsharded reference is a one-shard
+    // ShardedReference, so K only changes what the log lines report.
+    const auto ref = tools::build_reference(rt, flags);
+    const int nshards = ref.num_shards();
+    if (nshards == 1) {
       obs::Log::info(
           "index built: %zu entries, %.3f simulated s "
           "(amortized over %zu batch%s)",
-          ref.index_entries(), ref.build_report().total_time_s(),
-          batches.size(), batches.size() == 1 ? "" : "es");
-      if (args.has("stats")) ref.build_report().print(std::cerr);
-
-      core::AlignSession session(ref, flags.session);
-      if (!load_cache_dir.empty())
-        load_caches_or_usage_error(
-            session, rt, load_cache_dir,
-            load_cache_dir + "/" + cache::kSessionSnapshotFile);
-      std::optional<core::SamFileSink> sam;
-      core::CountingSink counter;
-      if (!out.empty()) sam.emplace(out, ref, pg);
-      core::AlignmentSink& sink =
-          sam ? static_cast<core::AlignmentSink&>(*sam)
-              : static_cast<core::AlignmentSink&>(counter);
-
-      core::PipelineStats total;
-      double align_time_s = 0.0;
-      auto account_batch = [&](std::size_t b, const core::BatchResult& res) {
-        align_time_s += res.total_time_s();
-        total += res.stats;
-        print_batch_line(b, batches.size(), batches[b], res.stats,
-                         res.total_time_s());
-        if (args.has("stats")) {
-          res.report.print(std::cerr);
-          res.stats.print(std::cerr);
-        }
-      };
-      if (prefetch) {
-        // Double-buffered stream: batch N+1 loads while batch N aligns;
-        // per-batch lines print live as each batch completes.
-        const auto stream =
-            session.align_batch_files(rt, batches, sink, {}, account_batch);
-        print_prefetch_line(stream.wall_s, stream.load_wall_s, stream.stall_s);
-      } else {
-        for (std::size_t b = 0; b < batches.size(); ++b) {
-          const std::string db = ensure_seqdb(batches[b]);
-          account_batch(b, session.align_batch_file(rt, db, sink));
-        }
-      }
-      if (!save_cache_dir.empty()) {
-        session.save_caches(
-            rt, save_cache_dir + "/" + cache::kSessionSnapshotFile);
-        print_save_line(save_cache_dir);
-      }
-      print_total_line(total, ref.build_report().total_time_s(), align_time_s);
-      if (args.has("stats"))
-        print_cache_totals(session.seed_cache_counters(),
-                           session.target_cache_counters());
-      write_observability_files(trace_path, metrics_path, metrics_format);
-      return 0;
-    }
-
-    // ---- sharded path -----------------------------------------------------
-    const auto ref = tools::build_sharded_reference(rt, flags);
-    obs::Log::info(
-        "sharded index built: %d shards, %u targets, "
-        "%zu entries; build %.3f simulated s serial, %.3f s if each "
-        "shard had its own runtime",
-        ref.num_shards(), ref.num_targets(), ref.index_entries(),
-        ref.build_time_serial_s(), ref.build_time_parallel_s());
-    for (int s = 0; s < ref.num_shards(); ++s)
+          ref.index_entries(), ref.build_time_serial_s(), batches.size(),
+          batches.size() == 1 ? "" : "es");
+    } else {
       obs::Log::info(
-          "  shard %d: %u targets, %zu entries, "
-          "build %.3f simulated s",
-          s, ref.shard(s).targets().num_targets(),
-          ref.shard(s).index_entries(),
-          ref.shard(s).build_report().total_time_s());
+          "sharded index built: %d shards, %u targets, "
+          "%zu entries; build %.3f simulated s serial, %.3f s if each "
+          "shard had its own runtime",
+          nshards, ref.num_targets(), ref.index_entries(),
+          ref.build_time_serial_s(), ref.build_time_parallel_s());
+      for (int s = 0; s < nshards; ++s)
+        obs::Log::info(
+            "  shard %d: %u targets, %zu entries, "
+            "build %.3f simulated s",
+            s, ref.shard(s).targets().num_targets(),
+            ref.shard(s).index_entries(),
+            ref.shard(s).build_report().total_time_s());
+    }
     if (args.has("stats")) ref.build_report().print(std::cerr);
 
     shard::ShardedAlignSession session(
         ref, shard::ShardedSessionConfig{flags.session, flags.shard_parallel});
-    obs::Log::info(
-        "shard executor: %d of %d shards in parallel "
-        "per batch (%s)",
-        session.effective_parallelism(rt.nranks()), session.num_shards(),
-        flags.shard_parallel > 0 ? "--shard-parallel" : "auto");
-    if (!load_cache_dir.empty())
-      load_caches_or_usage_error(session, rt, load_cache_dir, load_cache_dir);
+    if (nshards > 1)
+      obs::Log::info(
+          "shard executor: %d of %d shards in parallel "
+          "per batch (%s)",
+          session.effective_parallelism(rt.nranks()), nshards,
+          flags.shard_parallel > 0 ? "--shard-parallel" : "auto");
+    if (!load_cache_dir.empty()) {
+      // A missing or mismatched snapshot is an invocation error (exit 2 +
+      // usage), not a silent cold start.
+      try {
+        session.load_caches(rt, load_cache_dir);
+      } catch (const cache::CacheSnapshotError& e) {
+        throw tools::UsageError("--load-cache " + load_cache_dir + ": " +
+                                e.what());
+      }
+      obs::Log::info("warm caches loaded from %s", load_cache_dir.c_str());
+    }
     std::optional<core::SamFileSink> sam;
     core::CountingSink counter;
     if (!out.empty()) sam.emplace(out, ref.sam_targets(), rt.nranks(), pg);
@@ -407,28 +334,27 @@ int main(int argc, char** argv) {
         res.stats.print(std::cerr);
       }
     };
-    if (prefetch) {
-      const auto stream =
-          session.align_batch_files(rt, batches, sink, {}, account_batch);
+    // Per-batch lines print live as each batch completes. By default batch
+    // N+1 loads while batch N aligns; --no-prefetch alternates strictly.
+    const bool prefetch = !args.has("no-prefetch");
+    const auto stream = session.align_batch_files(
+        rt, batches, sink, core::FileStreamOptions{.prefetch = prefetch},
+        account_batch);
+    if (prefetch)
       print_prefetch_line(stream.wall_s, stream.load_wall_s, stream.stall_s);
-    } else {
-      for (std::size_t b = 0; b < batches.size(); ++b) {
-        const std::string db = ensure_seqdb(batches[b]);
-        account_batch(b, session.align_batch_file(rt, db, sink));
-      }
-    }
     if (!save_cache_dir.empty()) {
       session.save_caches(rt, save_cache_dir);
-      print_save_line(save_cache_dir);
+      obs::Log::info("caches saved to %s", save_cache_dir.c_str());
     }
     print_total_line(total, ref.build_time_serial_s(), align_serial_s);
-    obs::Log::info(
-        "per-runtime view (%d shards in parallel): "
-        "%.3f s index + %.3f s aligning",
-        ref.num_shards(), ref.build_time_parallel_s(), align_parallel_s);
+    if (nshards > 1)
+      obs::Log::info(
+          "per-runtime view (%d shards in parallel): "
+          "%.3f s index + %.3f s aligning",
+          nshards, ref.build_time_parallel_s(), align_parallel_s);
     if (args.has("stats")) {
       cache::CacheCounters seed, target;
-      for (int s = 0; s < session.num_shards(); ++s) {
+      for (int s = 0; s < nshards; ++s) {
         seed += session.shard_session(s).seed_cache_counters();
         target += session.shard_session(s).target_cache_counters();
       }

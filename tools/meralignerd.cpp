@@ -41,7 +41,6 @@
 #include "cache/cache_snapshot.hpp"
 #include "align_flags.hpp"
 #include "cli_util.hpp"
-#include "core/align_session.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/log.hpp"
 #include "serve/backend.hpp"
@@ -127,37 +126,32 @@ int main(int argc, char** argv) {
     dcfg.program.command_line = tools::command_line_of(argc, argv);
 
     // ---- build the warm engine once ----------------------------------------
-    // The shard executor (when any) is created HERE, sized once, and handed
-    // to the session: every tenant's batches share this one pool — J is a
-    // process-wide budget, however many clients connect.
+    // The shard executor (when K >= 2 shards can use one) is created HERE,
+    // sized once, and handed to the session: every tenant's batches share
+    // this one pool — J is a process-wide budget, however many clients
+    // connect.
+    auto ref = tools::build_reference(build_rt, flags);
+    obs::Log::info("index built: %d shard%s, %u targets, %zu entries, "
+                   "%.3f simulated s",
+                   ref.num_shards(), ref.num_shards() == 1 ? "" : "s",
+                   ref.num_targets(), ref.index_entries(),
+                   ref.build_time_serial_s());
+    shard::ShardedSessionConfig sscfg{flags.session, flags.shard_parallel,
+                                      nullptr};
+    const int J = flags.shard_parallel > 0
+                      ? flags.shard_parallel
+                      : exec::ThreadPool::default_parallelism(ref.num_shards(),
+                                                              flags.nranks);
     std::optional<exec::ThreadPool> pool;
-    std::optional<serve::Backend> backend;
-    if (!flags.sharded) {
-      auto ref = core::IndexedReference::build_from_fasta(
-          build_rt, flags.target_files[0], flags.index);
-      obs::Log::info("index built: %zu entries, %.3f simulated s",
-                     ref.index_entries(), ref.build_report().total_time_s());
-      backend.emplace(std::move(ref), flags.session);
-    } else {
-      auto ref = tools::build_sharded_reference(build_rt, flags);
-      obs::Log::info("sharded index built: %d shards, %u targets, %zu entries",
-                     ref.num_shards(), ref.num_targets(), ref.index_entries());
-      shard::ShardedSessionConfig sscfg{flags.session, flags.shard_parallel,
-                                        nullptr};
-      const int J = flags.shard_parallel > 0
-                        ? flags.shard_parallel
-                        : exec::ThreadPool::default_parallelism(
-                              ref.num_shards(), flags.nranks);
-      if (J > 1) {
-        pool.emplace(J);
-        sscfg.pool = &*pool;
-        obs::Log::info("global shard executor: %d workers (process-wide)", J);
-      }
-      backend.emplace(std::move(ref), sscfg);
+    if (J > 1) {
+      pool.emplace(J);
+      sscfg.pool = &*pool;
+      obs::Log::info("global shard executor: %d workers (process-wide)", J);
     }
+    serve::Backend backend(std::move(ref), sscfg);
     if (load_cache) {
       try {
-        backend->load_caches(build_rt, dcfg.cache_dir);
+        backend.load_caches(build_rt, dcfg.cache_dir);
         obs::Log::info("warm caches loaded from %s", dcfg.cache_dir.c_str());
       } catch (const mera::cache::CacheSnapshotError& e) {
         throw tools::UsageError("--load-cache " + dcfg.cache_dir + ": " +
@@ -165,7 +159,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    serve::Daemon daemon(std::move(*backend), topo, dcfg);
+    serve::Daemon daemon(std::move(backend), topo, dcfg);
     serve::Daemon::install_signal_handlers(daemon);
     daemon.start();
     daemon.wait();

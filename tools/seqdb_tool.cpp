@@ -81,7 +81,7 @@ int cmd_partition(const mera::tools::Args& args) {
     return 1;
   }
   mera::seq::SeqDBReader db(pos[1]);
-  const int nranks = static_cast<int>(args.get_int("ranks", 8));
+  const int nranks = args.get_int<int>("ranks", 8);
   std::printf("%zu records over %d ranks:\n", db.size(), nranks);
   for (int r = 0; r < nranks; ++r) {
     const auto [lo, hi] = db.partition(r, nranks);
